@@ -9,55 +9,33 @@
 // Barriers: counter, tree, tree-m, dissemination, tournament, tournament-m,
 //           mcs, mcs-m, system.
 #include <cstdio>
-#include <iostream>
-#include <map>
 #include <string>
 
 #include "ksr/machine/factory.hpp"
 #include "ksr/sync/barrier.hpp"
 
-namespace {
+int main(int argc, char** argv) try {
+  using namespace ksr;  // NOLINT
 
-using namespace ksr;  // NOLINT
-
-const std::map<std::string, sync::BarrierKind> kBarriers = {
-    {"counter", sync::BarrierKind::kCounter},
-    {"tree", sync::BarrierKind::kTree},
-    {"tree-m", sync::BarrierKind::kTreeM},
-    {"dissemination", sync::BarrierKind::kDissemination},
-    {"tournament", sync::BarrierKind::kTournament},
-    {"tournament-m", sync::BarrierKind::kTournamentM},
-    {"mcs", sync::BarrierKind::kMcs},
-    {"mcs-m", sync::BarrierKind::kMcsM},
-    {"system", sync::BarrierKind::kSystem},
-};
-
-machine::MachineConfig config_for(const std::string& name, unsigned procs) {
-  if (name == "ksr2") return machine::MachineConfig::ksr2(procs);
-  if (name == "symmetry") return machine::MachineConfig::symmetry(procs);
-  if (name == "butterfly") return machine::MachineConfig::butterfly(procs);
-  return machine::MachineConfig::ksr1(procs);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
   const std::string barrier_name = argc > 1 ? argv[1] : "tournament-m";
   const std::string machine_name = argc > 2 ? argv[2] : "ksr1";
   const unsigned procs = argc > 3 ? static_cast<unsigned>(std::stoul(argv[3]))
                                   : 16u;
   const int episodes = argc > 4 ? std::stoi(argv[4]) : 25;
 
-  const auto it = kBarriers.find(barrier_name);
-  if (it == kBarriers.end()) {
+  const auto kind = sync::barrier_kind_from_cli(barrier_name);
+  if (!kind) {
     std::fprintf(stderr, "unknown barrier '%s'; options:", barrier_name.c_str());
-    for (const auto& [k, v] : kBarriers) std::fprintf(stderr, " %s", k.c_str());
+    for (const auto& [k, v] : sync::kBarrierCliNames) {
+      std::fprintf(stderr, " %s", std::string(k).c_str());
+    }
     std::fprintf(stderr, "\n");
     return 1;
   }
 
-  auto m = machine::make_machine(config_for(machine_name, procs));
-  auto barrier = sync::make_barrier(*m, it->second);
+  auto m = machine::make_machine(
+      machine::MachineConfig::preset(machine_name, procs));
+  auto barrier = sync::make_barrier(*m, *kind);
 
   std::printf("%s barrier, %u processors on %s\n",
               std::string(barrier->name()).c_str(), procs,
@@ -88,4 +66,7 @@ int main(int argc, char** argv) {
   std::printf("    poststores           : %llu\n",
               static_cast<unsigned long long>(res.pmon.poststores_issued));
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "barrier_playground: %s\n", e.what());
+  return 1;
 }

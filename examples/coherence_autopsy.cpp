@@ -9,38 +9,27 @@
 //   $ ./coherence_autopsy counter 4
 //   $ ./coherence_autopsy mcs 8
 #include <cstdio>
-#include <map>
 #include <string>
 
 #include "ksr/machine/ksr_machine.hpp"
-#include "ksr/sim/trace.hpp"
+#include "ksr/obs/tracer.hpp"
 #include "ksr/sync/barrier.hpp"
 
 int main(int argc, char** argv) {
   using namespace ksr;  // NOLINT
 
-  const std::map<std::string, sync::BarrierKind> kinds = {
-      {"counter", sync::BarrierKind::kCounter},
-      {"tree", sync::BarrierKind::kTree},
-      {"tree-m", sync::BarrierKind::kTreeM},
-      {"dissemination", sync::BarrierKind::kDissemination},
-      {"tournament", sync::BarrierKind::kTournament},
-      {"tournament-m", sync::BarrierKind::kTournamentM},
-      {"mcs", sync::BarrierKind::kMcs},
-      {"mcs-m", sync::BarrierKind::kMcsM},
-      {"system", sync::BarrierKind::kSystem}};
   const std::string name = argc > 1 ? argv[1] : "tournament-m";
   const unsigned procs =
       argc > 2 ? static_cast<unsigned>(std::stoul(argv[2])) : 4u;
-  const auto it = kinds.find(name);
-  if (it == kinds.end()) {
+  const auto kind = sync::barrier_kind_from_cli(name);
+  if (!kind) {
     std::fprintf(stderr, "unknown barrier '%s'\n", name.c_str());
     return 1;
   }
 
   machine::KsrMachine m(machine::MachineConfig::ksr1(procs));
-  auto barrier = sync::make_barrier(m, it->second);
-  sim::Tracer tracer;
+  auto barrier = sync::make_barrier(m, *kind);
+  obs::Tracer tracer;
 
   // Warm-up episode untraced, then trace exactly one episode.
   m.run([&](machine::Cpu& cpu) { barrier->arrive(cpu); });

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "ksr/cache/local_cache.hpp"
 #include "ksr/cache/subcache.hpp"
@@ -214,6 +215,17 @@ struct MachineConfig {
     c.has_prefetch = false;
     c.has_poststore = false;
     return c;
+  }
+
+  /// The preset a machine name selects. Throws std::invalid_argument for a
+  /// name that is not one of the four machines.
+  static MachineConfig preset(std::string_view name, unsigned nproc) {
+    if (name == "ksr1") return ksr1(nproc);
+    if (name == "ksr2") return ksr2(nproc);
+    if (name == "symmetry") return symmetry(nproc);
+    if (name == "butterfly") return butterfly(nproc);
+    throw std::invalid_argument("unknown machine '" + std::string(name) +
+                                "' (expected ksr1|ksr2|symmetry|butterfly)");
   }
 
   /// Shrink both cache capacities by `k` (problem sizes are scaled by the

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ksr/machine/machine.hpp"
@@ -102,5 +103,14 @@ class IsSplit {
   sync::Padded<std::uint32_t> tmp_sum_;
   std::unique_ptr<sync::Barrier> warm_barrier_;
 };
+
+/// The split-phase flow in one call: restore the machine from
+/// `restore_from` when it is non-empty, else run the warm-up and, when
+/// `checkpoint_at` is non-empty, write the quiesced machine there; then run
+/// the timed ranking phases. A restore needs the capturing run's machine
+/// configuration and IsConfig.
+IsResult run_is_split(machine::Machine& m, const IsConfig& cfg,
+                      const std::string& restore_from,
+                      const std::string& checkpoint_at = {});
 
 }  // namespace ksr::nas

@@ -2,8 +2,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ksr/machine/machine.hpp"
@@ -57,6 +59,27 @@ enum class BarrierKind {
     case BarrierKind::kSystem: return "system";
   }
   return "?";
+}
+
+/// Command-line names of the nine kinds (ksrsim --kind, the examples).
+inline constexpr std::pair<std::string_view, BarrierKind> kBarrierCliNames[] =
+    {{"counter", BarrierKind::kCounter},
+     {"tree", BarrierKind::kTree},
+     {"tree-m", BarrierKind::kTreeM},
+     {"dissemination", BarrierKind::kDissemination},
+     {"tournament", BarrierKind::kTournament},
+     {"tournament-m", BarrierKind::kTournamentM},
+     {"mcs", BarrierKind::kMcs},
+     {"mcs-m", BarrierKind::kMcsM},
+     {"system", BarrierKind::kSystem}};
+
+/// The kind a command-line name selects; nullopt for an unknown name.
+[[nodiscard]] constexpr std::optional<BarrierKind> barrier_kind_from_cli(
+    std::string_view name) noexcept {
+  for (const auto& [n, k] : kBarrierCliNames) {
+    if (n == name) return k;
+  }
+  return std::nullopt;
 }
 
 /// All nine kinds, in the order the paper's figures list them.

@@ -2,8 +2,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ksr/machine/machine.hpp"
@@ -45,6 +47,23 @@ enum class SpinLockKind {
     case SpinLockKind::kMcsQueue: return "mcs-queue";
   }
   return "?";
+}
+
+/// Command-line names of the five kinds (ksrsim lock --kind).
+inline constexpr std::pair<std::string_view, SpinLockKind> kSpinLockCliNames[] =
+    {{"tas", SpinLockKind::kTestAndSet},
+     {"tas-backoff", SpinLockKind::kTestAndSetBackoff},
+     {"ticket", SpinLockKind::kTicket},
+     {"anderson", SpinLockKind::kAnderson},
+     {"mcs-queue", SpinLockKind::kMcsQueue}};
+
+/// The kind a command-line name selects; nullopt for an unknown name.
+[[nodiscard]] constexpr std::optional<SpinLockKind> spinlock_kind_from_cli(
+    std::string_view name) noexcept {
+  for (const auto& [n, k] : kSpinLockCliNames) {
+    if (n == name) return k;
+  }
+  return std::nullopt;
 }
 
 [[nodiscard]] std::vector<SpinLockKind> all_spinlock_kinds();

@@ -428,4 +428,17 @@ IsResult IsSplit::run_ranked() {
   return out;
 }
 
+IsResult run_is_split(machine::Machine& m, const IsConfig& cfg,
+                      const std::string& restore_from,
+                      const std::string& checkpoint_at) {
+  IsSplit split(m, cfg);
+  if (!restore_from.empty()) {
+    m.restore_from(restore_from);
+  } else {
+    split.run_warmup();
+    if (!checkpoint_at.empty()) m.checkpoint_to(checkpoint_at);
+  }
+  return split.run_ranked();
+}
+
 }  // namespace ksr::nas

@@ -19,12 +19,15 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "ksr/ckpt/checkpoint.hpp"
+#include "ksr/machine/factory.hpp"
+#include "ksr/nas/sp.hpp"
 #include "ksr/serve/campaign.hpp"
 #include "ksr/serve/core.hpp"
 #include "ksr/serve/server.hpp"
@@ -116,6 +119,8 @@ TEST(ServeKey, SensitiveToEveryFieldAndVersionStamp) {
       {"nnz_per_row", [](JobSpec* s) { s->nnz_per_row = 5; }},
       {"iters", [](JobSpec* s) { s->iters = 3; }},
       {"log2_pairs", [](JobSpec* s) { s->log2_pairs = 9; }},
+      {"padded_layout", [](JobSpec* s) { s->padded_layout = true; }},
+      {"use_prefetch", [](JobSpec* s) { s->use_prefetch = true; }},
   };
   std::set<std::uint64_t> keys{k0};
   for (const auto& [name, mutate] : mutations) {
@@ -160,6 +165,233 @@ TEST(ServeKey, CheckpointPresetIsContentAddressed) {
   std::remove(a.c_str());
   std::remove(a2.c_str());
   std::remove(b.c_str());
+}
+
+// Literal canonical strings and keys: a store written by one build must be
+// found by the next. Each string is the one the spec serialized to before
+// padded_layout/use_prefetch existed, with those two fields appended, so a
+// change to the field table that reorders, renames or drops a field fails
+// here instead of silently orphaning every stored result.
+TEST(ServeKey, CanonicalStringsAndKeysArePinned) {
+  const std::string preset = temp_dir("pinned_preset.ckpt");
+  ckpt::atomic_write_file(preset, "preset bytes one");
+  struct Pin {
+    JobSpec spec;
+    const char* canonical;
+    const char* key;
+  };
+  std::vector<Pin> pins(7);
+  JobSpec* s = &pins[0].spec;
+  s->workload = "ep";
+  s->procs = 4;
+  s->log2_pairs = 10;
+  s->seed = 77;
+  pins[0].canonical =
+      "machine=ksr1;procs=4;scale=1;snarf=1;fuzz_seed=0;cells_per_leaf=0;"
+      "cells_per_domain=0;workload=ep;seed=77;log2_keys=0;log2_buckets=0;"
+      "pad_buckets=0;n=0;nnz_per_row=0;iters=0;log2_pairs=10;ckpt=-;"
+      "padded_layout=0;use_prefetch=0;";
+  pins[0].key = "db8280fe8ae9dddc";
+  s = &pins[1].spec;
+  s->workload = "cg";
+  s->procs = 4;
+  s->scale = 64;
+  s->n = 300;
+  s->nnz_per_row = 7;
+  s->iters = 2;
+  pins[1].canonical =
+      "machine=ksr1;procs=4;scale=64;snarf=1;fuzz_seed=0;cells_per_leaf=0;"
+      "cells_per_domain=0;workload=cg;seed=0;log2_keys=0;log2_buckets=0;"
+      "pad_buckets=0;n=300;nnz_per_row=7;iters=2;log2_pairs=0;ckpt=-;"
+      "padded_layout=0;use_prefetch=0;";
+  pins[1].key = "c8d028b4d3c19e31";
+  s = &pins[2].spec;
+  s->workload = "is";
+  s->procs = 4;
+  s->scale = 64;
+  s->log2_keys = 11;
+  s->log2_buckets = 7;
+  s->pad_buckets = true;
+  pins[2].canonical =
+      "machine=ksr1;procs=4;scale=64;snarf=1;fuzz_seed=0;cells_per_leaf=0;"
+      "cells_per_domain=0;workload=is;seed=0;log2_keys=11;log2_buckets=7;"
+      "pad_buckets=1;n=0;nnz_per_row=0;iters=0;log2_pairs=0;ckpt=-;"
+      "padded_layout=0;use_prefetch=0;";
+  pins[2].key = "488d9213fcee88b9";
+  s = &pins[3].spec;
+  s->workload = "sp";
+  s->procs = 4;
+  s->scale = 64;
+  s->n = 8;
+  s->iters = 1;
+  pins[3].canonical =
+      "machine=ksr1;procs=4;scale=64;snarf=1;fuzz_seed=0;cells_per_leaf=0;"
+      "cells_per_domain=0;workload=sp;seed=0;log2_keys=0;log2_buckets=0;"
+      "pad_buckets=0;n=8;nnz_per_row=0;iters=1;log2_pairs=0;ckpt=-;"
+      "padded_layout=0;use_prefetch=0;";
+  pins[3].key = "3683f93fc114c5f5";
+  s = &pins[4].spec;
+  s->workload = "bt";
+  s->machine = "ksr2";
+  s->procs = 16;
+  s->scale = 64;
+  s->n = 6;
+  s->iters = 1;
+  s->fuzz_seed = 3;
+  pins[4].canonical =
+      "machine=ksr2;procs=16;scale=64;snarf=1;fuzz_seed=3;cells_per_leaf=0;"
+      "cells_per_domain=0;workload=bt;seed=0;log2_keys=0;log2_buckets=0;"
+      "pad_buckets=0;n=6;nnz_per_row=0;iters=1;log2_pairs=0;ckpt=-;"
+      "padded_layout=0;use_prefetch=0;";
+  pins[4].key = "f0221115ed84ca61";
+  s = &pins[5].spec;  // topology knobs
+  s->workload = "is";
+  s->procs = 64;
+  s->scale = 64;
+  s->cells_per_leaf = 16;
+  s->cells_per_domain = 32;
+  s->snarf = false;
+  pins[5].canonical =
+      "machine=ksr1;procs=64;scale=64;snarf=0;fuzz_seed=0;cells_per_leaf=16;"
+      "cells_per_domain=32;workload=is;seed=0;log2_keys=0;log2_buckets=0;"
+      "pad_buckets=0;n=0;nnz_per_row=0;iters=0;log2_pairs=0;ckpt=-;"
+      "padded_layout=0;use_prefetch=0;";
+  pins[5].key = "3aaaf9b5655007fa";
+  s = &pins[6].spec;  // checkpoint preset, keyed by its bytes
+  s->workload = "is";
+  s->procs = 64;
+  s->scale = 64;
+  s->log2_keys = 11;
+  s->log2_buckets = 7;
+  s->restore_from = preset;
+  pins[6].canonical =
+      "machine=ksr1;procs=64;scale=64;snarf=1;fuzz_seed=0;cells_per_leaf=0;"
+      "cells_per_domain=0;workload=is;seed=0;log2_keys=11;log2_buckets=7;"
+      "pad_buckets=0;n=0;nnz_per_row=0;iters=0;log2_pairs=0;"
+      "ckpt=a76ae32ff079e369;padded_layout=0;use_prefetch=0;";
+  pins[6].key = "c20cc51eed5cc987";
+  for (const Pin& p : pins) {
+    EXPECT_EQ(p.spec.canonical(), p.canonical);
+    EXPECT_EQ(derive_key(p.spec).hex(), p.key) << p.canonical;
+  }
+  std::remove(preset.c_str());
+}
+
+// ------------------------------------------------------ command-line specs
+
+JobSpec spec_from(const std::map<std::string, std::string, std::less<>>& kv,
+                  std::string* err = nullptr) {
+  JobSpec s;
+  std::string e;
+  const bool ok = JobSpec::from_flags(
+      [&kv](std::string_view f) -> const std::string* {
+        const auto it = kv.find(f);
+        return it == kv.end() ? nullptr : &it->second;
+      },
+      &s, &e);
+  if (err != nullptr) *err = e;
+  EXPECT_EQ(ok, e.empty()) << e;
+  return s;
+}
+
+TEST(ServeSpec, FlagsMapOntoTheFieldTable) {
+  // No flags: the JSON defaults, except SP padding and prefetch are on.
+  JobSpec want;
+  want.padded_layout = true;
+  want.use_prefetch = true;
+  EXPECT_EQ(spec_from({}).canonical(), want.canonical());
+
+  const JobSpec s = spec_from({{"name", "sp"},
+                               {"machine", "ksr2"},
+                               {"procs", "16"},
+                               {"scale", "64"},
+                               {"fuzz-seed", "9"},
+                               {"seed", "77"},
+                               {"n", "8"},
+                               {"iters", "1"},
+                               {"no-snarf", ""},
+                               {"no-padding", ""},
+                               {"no-prefetch", ""},
+                               {"pad-buckets", ""}});
+  EXPECT_EQ(s.workload, "sp");
+  EXPECT_EQ(s.machine, "ksr2");
+  EXPECT_EQ(s.procs, 16u);
+  EXPECT_EQ(s.scale, 64u);
+  EXPECT_EQ(s.fuzz_seed, 9u);
+  EXPECT_EQ(s.seed, 77u);
+  EXPECT_EQ(s.n, 8u);
+  EXPECT_EQ(s.iters, 1u);
+  EXPECT_FALSE(s.snarf);
+  EXPECT_FALSE(s.padded_layout);
+  EXPECT_FALSE(s.use_prefetch);
+  EXPECT_TRUE(s.pad_buckets);
+
+  // A flag-built spec survives the JSON trip a `ksrsim submit` takes.
+  JobSpec back;
+  std::string err;
+  ASSERT_TRUE(JobSpec::from_json(s.to_json(), &back, &err)) << err;
+  EXPECT_EQ(back.canonical(), s.canonical());
+
+  // Every field has a flag; only the booleans go without a value.
+  const std::vector<JobSpec::Flag> flags = JobSpec::flags();
+  EXPECT_EQ(flags.size(), s.to_json().members().size() + 1);  // +leaf-rings
+  for (const JobSpec::Flag& f : flags) {
+    const std::string name = f.name;
+    const bool boolean = name == "no-snarf" || name == "pad-buckets" ||
+                         name == "no-padding" || name == "no-prefetch";
+    EXPECT_EQ(f.takes_value, !boolean) << name;
+  }
+}
+
+TEST(ServeSpec, LeafRingsSugarAndBadValues) {
+  EXPECT_EQ(spec_from({{"leaf-rings", "2"}, {"cells-per-leaf", "16"},
+                       {"procs", "64"}})
+                .procs,
+            32u);
+  // Without --cells-per-leaf the preset's 32-cell leaf ring applies.
+  EXPECT_EQ(spec_from({{"leaf-rings", "3"}}).procs, 96u);
+
+  for (const char* flag : {"procs", "n", "seed", "leaf-rings"}) {
+    std::string err;
+    (void)spec_from({{flag, "-1"}}, &err);
+    EXPECT_NE(err.find(std::string("--") + flag), std::string::npos) << err;
+  }
+  std::string err;
+  (void)spec_from({{"procs", "4294967296"}}, &err);
+  EXPECT_FALSE(err.empty());
+}
+
+TEST(ServeSpec, UnknownMachineIsRejected) {
+  JobSpec s = small_is();
+  s.machine = "ksr3";
+  EXPECT_NE(s.validate().find("unknown machine 'ksr3'"), std::string::npos);
+  EXPECT_THROW((void)machine_config(s), std::invalid_argument);
+  EXPECT_THROW((void)execute(s), std::exception);
+}
+
+// The SP fields reach the kernel: a served job with them on matches a direct
+// run_sp with the padded, prefetching layout.
+TEST(ServeSpec, SpLayoutFieldsReachTheKernel) {
+  JobSpec s;
+  s.workload = "sp";
+  s.procs = 4;
+  s.scale = 64;
+  s.n = 8;
+  s.iters = 1;
+  s.padded_layout = true;
+  s.use_prefetch = true;
+  auto m = machine::make_machine(machine_config(s));
+  nas::SpConfig c;
+  c.n = 8;
+  c.iterations = 1;
+  c.padded_layout = true;
+  c.use_prefetch = true;
+  const nas::SpResult direct = run_sp(*m, c);
+  const JobOutcome served = execute(s);
+  EXPECT_EQ(served.events, m->engine().events_dispatched());
+  EXPECT_EQ(served.seconds, direct.total_seconds);
+  s.padded_layout = s.use_prefetch = false;
+  EXPECT_NE(execute(s).events, served.events);
 }
 
 // ---------------------------------------------------------------- caching

@@ -275,23 +275,15 @@ RunOutcome run_is(std::uint64_t seed, unsigned procs) {
   cfg.log2_buckets = 7;
 
   try {
-    nas::IsResult res;
-    if (!g_checkpoint_at.empty() || !g_restore_from.empty()) {
-      // Split-phase flow: checkpoint (or restore) at the warm-up boundary,
-      // then run the contended ranking phases.
-      nas::IsSplit split(*m, cfg);
-      if (!g_restore_from.empty()) {
-        m->restore_from(g_restore_from);
-      } else {
-        split.run_warmup();
-        out.ckpt_file = g_checkpoint_at + ".s" + std::to_string(seed) +
-                        ".ckpt";
-        m->checkpoint_to(out.ckpt_file);
-      }
-      res = split.run_ranked();
-    } else {
-      res = nas::run_is(*m, cfg);
+    if (!g_checkpoint_at.empty() && g_restore_from.empty()) {
+      out.ckpt_file = g_checkpoint_at + ".s" + std::to_string(seed) + ".ckpt";
     }
+    // Split-phase flow: checkpoint (or restore) at the warm-up boundary,
+    // then run the contended ranking phases.
+    const nas::IsResult res =
+        g_checkpoint_at.empty() && g_restore_from.empty()
+            ? nas::run_is(*m, cfg)
+            : nas::run_is_split(*m, cfg, g_restore_from, out.ckpt_file);
     if (!res.ranks_valid) {
       out.ok = false;
       out.detail = "semantic: IS full_verify failed (ranks out of order)";

@@ -12,27 +12,22 @@
 //   ksrsim campaign  presets/campaigns/fig8_quick.json --store ksrsim_store
 //
 // Run `ksrsim help` for the full reference.
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ksr/check/checker.hpp"
 #include "ksr/ckpt/checkpoint.hpp"
 #include "ksr/host/sweep_runner.hpp"
 #include "ksr/machine/factory.hpp"
-#include "ksr/nas/bt.hpp"
-#include "ksr/nas/cg.hpp"
-#include "ksr/nas/ep.hpp"
-#include "ksr/nas/is.hpp"
-#include "ksr/nas/sp.hpp"
 #include "ksr/obs/session.hpp"
 #include "ksr/serve/campaign.hpp"
 #include "ksr/serve/server.hpp"
@@ -52,101 +47,78 @@ using namespace ksr;  // NOLINT
 class Args {
  public:
   Args(int argc, char** argv) {
-    // Union of the keys any command understands; a typo ("--job 4",
+    // Every flag any command understands, and whether it takes a value: the
+    // job-spec vocabulary plus the tool's own flags. A typo ("--job 4",
     // "--proc 8") warns instead of silently running with defaults.
-    static const std::map<std::string, int> known = {
-        {"machine", 1},  {"procs", 1},        {"scale", 1},
-        {"no-snarf", 1}, {"csv", 1},          {"kind", 1},
-        {"episodes", 1}, {"ops", 1},          {"read-pct", 1},
-        {"name", 1},     {"n", 1},            {"nnz-per-row", 1},
-        {"iters", 1},    {"log2-pairs", 1},   {"log2-keys", 1},
-        {"log2-buckets", 1}, {"no-padding", 1}, {"no-prefetch", 1},
-        {"pad-buckets", 1},
-        {"jobs", 1},     {"trace", 1},        {"trace-out", 1},
-        {"trace-cap", 1}, {"report", 1},      {"metrics-csv", 1},
-        {"topo-report", 1},
-        {"fuzz-seed", 1},    {"check", 0},    {"sim-threads", 1},
-        {"leaf-rings", 1},   {"cells-per-leaf", 1}, {"cells-per-domain", 1},
-        {"checkpoint-at", 1}, {"restore-from", 1},
-        {"socket", 1},       {"store", 1},    {"out", 1},
-        {"manifest", 1},     {"op", 1},       {"seed", 1}};
+    std::map<std::string, bool, std::less<>> takes_value = {
+        {"csv", false}, {"check", false}, {"trace", false}, {"kind", true},
+        {"episodes", true}, {"ops", true}, {"read-pct", true}, {"jobs", true},
+        {"trace-out", true}, {"trace-cap", true}, {"report", true},
+        {"metrics-csv", true}, {"topo-report", true}, {"sim-threads", true},
+        {"checkpoint-at", true}, {"socket", true}, {"store", true},
+        {"out", true}, {"manifest", true}, {"op", true}};
+    for (const serve::JobSpec::Flag& f : serve::JobSpec::flags()) {
+      takes_value[f.name] = f.takes_value;
+    }
+    const bool wants_positional = std::string(argv[1]) == "campaign";
     for (int i = 2; i < argc; ++i) {
-      std::string a = argv[i];
-      if (a.rfind("--", 0) != 0) {
-        // First bare token is the positional argument (the campaign
-        // manifest path); anything further is still a likely typo.
-        if (positional_.empty()) {
-          positional_ = a;
+      std::string key = argv[i];
+      const bool next_is_value =
+          i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0;
+      if (key.rfind("--", 0) != 0) {
+        // The campaign manifest path is the one positional argument.
+        if (wants_positional && positional_.empty()) {
+          positional_ = key;
         } else {
-          std::cerr << "warning: ignoring unknown argument '" << a << "'\n";
+          std::cerr << "warning: ignoring unknown argument '" << key << "'\n";
         }
         continue;
       }
-      std::string key = a.substr(2);
-      std::string val;
-      bool has_val = false;
-      const std::size_t eq = key.find('=');
-      if (eq != std::string::npos) {
+      key.erase(0, 2);
+      std::optional<std::string> val;
+      if (const std::size_t eq = key.find('='); eq != std::string::npos) {
         val = key.substr(eq + 1);
-        key = key.substr(0, eq);
-        has_val = true;
+        key.erase(eq);
       }
-      if (known.find(key) == known.end()) {
+      const auto it = takes_value.find(key);
+      if (it == takes_value.end()) {
         std::cerr << "warning: ignoring unknown argument '--" << key << "'\n";
-        if (!has_val && i + 1 < argc &&
-            std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          ++i;  // swallow the typo'd flag's value too
-        }
+        if (!val && next_is_value) ++i;  // swallow the typo'd flag's value too
         continue;
       }
-      if (has_val) {
-        kv_[key] = val;
-      } else if (i + 1 < argc &&
-                 std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        kv_[key] = argv[++i];
-      } else {
-        kv_[key] = "1";
+      if (it->second && !val) {
+        if (!next_is_value) {
+          throw std::runtime_error("--" + key + " needs a value");
+        }
+        val = argv[++i];
       }
+      kv_[key] = val.value_or("");
     }
   }
 
-  [[nodiscard]] std::string get(const std::string& key,
+  /// The flag's value ("" for a boolean flag), nullptr when absent.
+  [[nodiscard]] const std::string* find(std::string_view key) const {
+    const auto it = kv_.find(key);
+    return it == kv_.end() ? nullptr : &it->second;
+  }
+  [[nodiscard]] std::string get(std::string_view key,
                                 const std::string& def = "") const {
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? def : it->second;
+    const std::string* v = find(key);
+    return v == nullptr ? def : *v;
   }
-  /// Strict parse of one non-negative integer token; false on malformed or
-  /// overflowing input (the shared tool parser — see ksr/util/parse.hpp).
-  [[nodiscard]] static bool parse_u64(const std::string& tok,
-                                      std::uint64_t* out) {
-    return util::parse_u64(tok, out);
+  [[nodiscard]] bool has(std::string_view key) const {
+    return find(key) != nullptr;
   }
-  [[nodiscard]] unsigned get_u(const std::string& key, unsigned def) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) return def;
+  [[nodiscard]] unsigned get_u(std::string_view key, unsigned def) const {
+    const std::string* s = find(key);
+    if (s == nullptr) return def;
     std::uint64_t v = 0;
-    if (!parse_u64(it->second, &v) ||
-        v > std::numeric_limits<unsigned>::max()) {
-      std::cerr << "warning: ignoring invalid --" << key << " value '"
-                << it->second << "' (expected a non-negative integer)\n";
+    if (!util::parse_u64(*s, &v) || v > std::numeric_limits<unsigned>::max()) {
+      std::cerr << "warning: ignoring invalid --" << key << " value '" << *s
+                << "' (expected a non-negative integer)\n";
       return def;
     }
     return static_cast<unsigned>(v);
-  }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
-                                      std::uint64_t def) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) return def;
-    std::uint64_t v = 0;
-    if (!parse_u64(it->second, &v)) {
-      std::cerr << "warning: ignoring invalid --" << key << " value '"
-                << it->second << "' (expected a non-negative integer)\n";
-      return def;
-    }
-    return v;
-  }
-  [[nodiscard]] bool has(const std::string& key) const {
-    return kv_.count(key) > 0;
   }
   [[nodiscard]] std::vector<unsigned> get_list(const std::string& key,
                                                std::vector<unsigned> def) const {
@@ -157,7 +129,8 @@ class Args {
     std::string tok;
     while (std::getline(ss, tok, ',')) {
       std::uint64_t v = 0;
-      if (!parse_u64(tok, &v) || v > std::numeric_limits<unsigned>::max()) {
+      if (!util::parse_u64(tok, &v) ||
+          v > std::numeric_limits<unsigned>::max()) {
         std::cerr << "warning: skipping invalid --" << key << " list entry '"
                   << tok << "' (expected a non-negative integer)\n";
         continue;
@@ -177,12 +150,12 @@ class Args {
   }
 
  private:
-  std::map<std::string, std::string> kv_;
+  std::map<std::string, std::string, std::less<>> kv_;
   std::string positional_;
 };
 
 /// Observability session from the common flags (see docs/OBSERVABILITY.md):
-/// `--trace [cat,...]` captures a structured trace, `--trace-out FILE` names
+/// `--trace[=cat,...]` captures a structured trace, `--trace-out FILE` names
 /// the output (default ksrsim_<cmd>_trace.json), `--trace-cap N` sizes the
 /// per-job record buffer, `--metrics-csv FILE` the sampled metrics time
 /// series, `--report FILE` a ksrprof simulated-time profile,
@@ -190,8 +163,7 @@ class Args {
 obs::Session make_session(const Args& args, const std::string& cmd) {
   obs::SessionOptions s;
   s.trace = args.has("trace") || args.has("trace-out");
-  const std::string cats = args.get("trace");
-  if (cats != "1") s.categories = cats;  // bare --trace = all categories
+  s.categories = args.get("trace");  // bare --trace = all categories
   s.trace_out = args.get("trace-out");
   s.metrics_csv = args.get("metrics-csv");
   s.report = args.get("report");
@@ -201,28 +173,25 @@ obs::Session make_session(const Args& args, const std::string& cmd) {
   return obs::Session(std::move(s), "ksrsim_" + cmd);
 }
 
-machine::MachineConfig make_config(const Args& args, unsigned procs) {
-  const std::string name = args.get("machine", "ksr1");
-  machine::MachineConfig cfg = machine::MachineConfig::ksr1(procs);
-  if (name == "ksr2") cfg = machine::MachineConfig::ksr2(procs);
-  if (name == "symmetry") cfg = machine::MachineConfig::symmetry(procs);
-  if (name == "butterfly") cfg = machine::MachineConfig::butterfly(procs);
-  const unsigned scale = args.get_u("scale", 1);
-  if (scale > 1) cfg = cfg.scaled_by(scale);
-  if (args.has("no-snarf")) cfg.read_snarfing = false;
-  cfg.sched_fuzz_seed = args.get_u64("fuzz-seed", 0);
-  cfg.sim_threads = args.get_u("sim-threads", 1);
-  // Topology overrides: shape the ring hierarchy independently of --procs
-  // (128-cell and larger machines need more than the preset's two leaves).
-  const unsigned cpl = args.get_u("cells-per-leaf", 0);
-  if (cpl != 0) cfg.cells_per_leaf = cpl;
-  const unsigned lr = args.get_u("leaf-rings", 0);
-  if (lr != 0 && cfg.cells_per_leaf != 0) {
-    // --leaf-rings is sugar: it fixes nproc = rings x cells_per_leaf.
-    cfg.nproc = lr * cfg.cells_per_leaf;
+/// The job the spec-vocabulary flags describe (serve::JobSpec::from_flags),
+/// with `procs` as the --procs value: a sweep point, or the command's
+/// default when the flag is absent.
+serve::JobSpec job_spec(const Args& args, const std::string& procs) {
+  serve::JobSpec spec;
+  std::string err;
+  const auto flag = [&](std::string_view f) {
+    return f == "procs" ? &procs : args.find(f);
+  };
+  if (!serve::JobSpec::from_flags(flag, &spec, &err)) {
+    throw std::runtime_error(err);
   }
-  cfg.cells_per_domain = args.get_u("cells-per-domain", 0);
-  return cfg;
+  return spec;
+}
+
+std::unique_ptr<machine::Machine> build_machine(const Args& args,
+                                                const serve::JobSpec& spec) {
+  return machine::make_machine(
+      serve::machine_config(spec, args.get_u("sim-threads", 1)));
 }
 
 // With --check, attach the ALLCACHE invariant checker for the lifetime of
@@ -270,8 +239,9 @@ class CheckScope {
 // ------------------------------------------------------------- commands
 
 int cmd_probe(const Args& args) {
-  const unsigned procs = args.get_u("procs", 2);
-  auto m = machine::make_machine(make_config(args, std::max(procs, 2u)));
+  serve::JobSpec spec = job_spec(args, args.get("procs", "2"));
+  spec.procs = std::max(spec.procs, 2u);
+  auto m = build_machine(args, spec);
   CheckScope check(args, *m);
   obs::Session session = make_session(args, "probe");
   obs::JobObs jo = session.job();
@@ -313,26 +283,17 @@ int cmd_probe(const Args& args) {
 }
 
 int cmd_barrier(const Args& args) {
-  static const std::map<std::string, sync::BarrierKind> kinds = {
-      {"counter", sync::BarrierKind::kCounter},
-      {"tree", sync::BarrierKind::kTree},
-      {"tree-m", sync::BarrierKind::kTreeM},
-      {"dissemination", sync::BarrierKind::kDissemination},
-      {"tournament", sync::BarrierKind::kTournament},
-      {"tournament-m", sync::BarrierKind::kTournamentM},
-      {"mcs", sync::BarrierKind::kMcs},
-      {"mcs-m", sync::BarrierKind::kMcsM},
-      {"system", sync::BarrierKind::kSystem}};
-  const auto it = kinds.find(args.get("kind", "tournament-m"));
-  if (it == kinds.end()) {
-    std::fprintf(stderr, "unknown barrier kind\n");
+  const std::string kind = args.get("kind", "tournament-m");
+  const auto barrier_kind = sync::barrier_kind_from_cli(kind);
+  if (!barrier_kind) {
+    std::fprintf(stderr, "unknown barrier kind '%s'\n", kind.c_str());
     return 1;
   }
-  const unsigned procs = args.get_u("procs", 16);
+  const serve::JobSpec spec = job_spec(args, args.get("procs", "16"));
   const int episodes = static_cast<int>(args.get_u("episodes", 25));
-  auto m = machine::make_machine(make_config(args, procs));
+  auto m = build_machine(args, spec);
   CheckScope check(args, *m);
-  auto barrier = sync::make_barrier(*m, it->second);
+  auto barrier = sync::make_barrier(*m, *barrier_kind);
   obs::Session session = make_session(args, "barrier");
   obs::JobObs jo = session.job();
   jo.attach(*m);
@@ -353,7 +314,7 @@ int cmd_barrier(const Args& args) {
   std::printf("%s on %s, %u procs: %.1f us/episode "
               "(%llu network transactions total)\n",
               std::string(barrier->name()).c_str(),
-              machine::to_string(m->config().kind), procs,
+              machine::to_string(m->config().kind), spec.procs,
               total / episodes * 1e6,
               static_cast<unsigned long long>(res.pmon.ring_requests));
   session.close();
@@ -361,11 +322,11 @@ int cmd_barrier(const Args& args) {
 }
 
 int cmd_lock(const Args& args) {
-  const unsigned procs = args.get_u("procs", 8);
+  const serve::JobSpec spec = job_spec(args, args.get("procs", "8"));
   const int ops = static_cast<int>(args.get_u("ops", 50));
   const std::string kind = args.get("kind", "hw");
   const unsigned read_pct = args.get_u("read-pct", 0);
-  auto m = machine::make_machine(make_config(args, procs));
+  auto m = build_machine(args, spec);
   CheckScope check(args, *m);
   obs::Session session = make_session(args, "lock");
   obs::JobObs jo = session.job();
@@ -401,18 +362,12 @@ int cmd_lock(const Args& args) {
       if (cpu.seconds() > t) t = cpu.seconds();
     });
   } else {
-    static const std::map<std::string, sync::SpinLockKind> kinds = {
-        {"tas", sync::SpinLockKind::kTestAndSet},
-        {"tas-backoff", sync::SpinLockKind::kTestAndSetBackoff},
-        {"ticket", sync::SpinLockKind::kTicket},
-        {"anderson", sync::SpinLockKind::kAnderson},
-        {"mcs-queue", sync::SpinLockKind::kMcsQueue}};
-    const auto it = kinds.find(kind);
-    if (it == kinds.end()) {
+    const auto lock_kind = sync::spinlock_kind_from_cli(kind);
+    if (!lock_kind) {
       std::fprintf(stderr, "unknown lock kind '%s'\n", kind.c_str());
       return 1;
     }
-    auto lock = sync::make_spinlock(*m, it->second);
+    auto lock = sync::make_spinlock(*m, *lock_kind);
     m->run([&](machine::Cpu& cpu) {
       for (int i = 0; i < ops; ++i) {
         lock->acquire(cpu);
@@ -426,110 +381,58 @@ int cmd_lock(const Args& args) {
   jo.finish();
   if (session.active()) session.collect(std::move(jo), kind);
   std::printf("%s lock, %u procs, %d ops/proc: %.4f s total, %.1f us/op\n",
-              kind.c_str(), procs, ops, t,
+              kind.c_str(), spec.procs, ops, t,
               t / ops * 1e6);
   session.close();
   return session.ok() ? 0 : 1;
 }
 
 struct KernelRun {
-  double seconds = 0.0;
-  std::uint64_t events = 0;  // determinism fingerprint (events_dispatched)
+  serve::JobOutcome job;
   std::uint64_t quanta = 0;
   obs::JobObs obs;
 };
 
-KernelRun run_kernel_once(const obs::Session& session, const Args& args,
-                          const std::string& name, unsigned procs) {
-  auto m = machine::make_machine(make_config(args, procs));
+/// serve::run_job on a machine with this command's obs session and --check
+/// scope attached: the same job `ksrsim submit` sends to a daemon.
+KernelRun run_kernel(const obs::Session& session, const Args& args,
+                     const serve::JobSpec& spec) {
+  auto m = build_machine(args, spec);
   CheckScope check(args, *m);
   KernelRun r;
   r.obs = session.job();
   r.obs.attach(*m);
-  if (name == "ep") {
-    nas::EpConfig c;
-    c.log2_pairs = args.get_u("log2-pairs", 13);
-    r.seconds = run_ep(*m, c).seconds;
-  } else if (name == "cg") {
-    nas::CgConfig c;
-    c.n = args.get_u("n", 1000);
-    c.nnz_per_row = args.get_u("nnz-per-row", 24);
-    c.iterations = args.get_u("iters", 4);
-    r.seconds = run_cg(*m, c).seconds;
-  } else if (name == "is") {
-    nas::IsConfig c;
-    c.log2_keys = args.get_u("log2-keys", 15);
-    c.log2_buckets = args.get_u("log2-buckets", 10);
-    c.pad_buckets = args.has("pad-buckets");
-    const std::string save = args.get("checkpoint-at");
-    const std::string load = args.get("restore-from");
-    if (!save.empty() || !load.empty()) {
-      // Split-phase flow (docs/CHECKPOINT.md): capture a checkpoint at the
-      // warm-up boundary, or skip the warm-up entirely by restoring one.
-      // The restoring invocation must pass the same machine flags
-      // (--procs/--scale/--sim-threads/...) as the capturing one.
-      nas::IsSplit split(*m, c);
-      if (!load.empty()) {
-        m->restore_from(load);
-      } else {
-        split.run_warmup();
-        m->checkpoint_to(save);
-        std::cerr << "checkpoint written to " << save << " ("
-                  << m->engine().events_dispatched()
-                  << " events at capture)\n";
-      }
-      r.seconds = split.run_ranked().seconds;
-    } else {
-      r.seconds = run_is(*m, c).seconds;
-    }
-  } else if (name == "sp") {
-    nas::SpConfig c;
-    c.n = args.get_u("n", 16);
-    c.iterations = args.get_u("iters", 2);
-    c.padded_layout = !args.has("no-padding");
-    c.use_prefetch = !args.has("no-prefetch");
-    r.seconds = run_sp(*m, c).total_seconds;
-  } else if (name == "bt") {
-    nas::BtConfig c;
-    c.n = args.get_u("n", 10);
-    c.iterations = args.get_u("iters", 2);
-    r.seconds = run_bt(*m, c).total_seconds;
-  } else {
-    throw std::runtime_error("unknown kernel '" + name + "'");
-  }
-  if (name != "is" &&
-      (args.has("checkpoint-at") || args.has("restore-from"))) {
-    std::cerr << "warning: --checkpoint-at/--restore-from only apply to "
-                 "--name is (the split-phase kernel); ignored\n";
-  }
+  // docs/CHECKPOINT.md: restoring needs the capturing run's machine flags.
+  const std::string save = args.get("checkpoint-at");
+  r.job = serve::run_job(spec, *m, save);
+  if (!save.empty()) std::cerr << "checkpoint written to " << save << "\n";
   r.obs.finish();
-  r.events = m->engine().events_dispatched();
   r.quanta = m->parallel_engine().quanta();
   return r;
 }
 
 int cmd_kernel(const Args& args) {
-  const std::string name = args.get("name", "cg");
-  const unsigned procs = args.get_u("procs", 8);
+  const serve::JobSpec spec = job_spec(args, args.get("procs", "8"));
   obs::Session session = make_session(args, "kernel");
   const auto wall0 = std::chrono::steady_clock::now();
-  KernelRun r = run_kernel_once(session, args, name, procs);
+  KernelRun r = run_kernel(session, args, spec);
   const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - wall0)
                            .count();
   if (session.active()) {
-    session.collect(std::move(r.obs), name + " p=" + std::to_string(procs));
+    session.collect(std::move(r.obs),
+                    spec.workload + " p=" + std::to_string(spec.procs));
   }
   // Same [host] line the bench binaries emit (bench/report.py HOST_RE):
   // events_dispatched is the determinism fingerprint.
   std::fprintf(stderr,
                "[host] bench=ksrsim_kernel events_dispatched=%llu "
                "wall_ms=%lld sim_threads=%u quanta=%llu\n",
-               static_cast<unsigned long long>(r.events),
+               static_cast<unsigned long long>(r.job.events),
                static_cast<long long>(wall_ms), args.get_u("sim-threads", 1),
                static_cast<unsigned long long>(r.quanta));
-  std::printf("%s on %u procs: %.5f simulated seconds\n", name.c_str(), procs,
-              r.seconds);
+  std::printf("%s on %u procs: %.5f simulated seconds\n",
+              spec.workload.c_str(), spec.procs, r.job.seconds);
   session.close();
   return session.ok() ? 0 : 1;
 }
@@ -546,6 +449,11 @@ int cmd_sweep(const Args& args) {
                  "--warm-start for checkpointed sweeps\n";
     return 1;
   }
+  if (args.has("leaf-rings")) {
+    // --leaf-rings sets procs, so every point would run the same machine.
+    throw std::runtime_error(
+        "sweep: --leaf-rings fixes the cell count; sweep --procs instead");
+  }
   const std::vector<unsigned> procs =
       args.get_list("procs", {1, 2, 4, 8, 16});
   // Every processor count is an independent simulation: shard them over
@@ -556,9 +464,10 @@ int cmd_sweep(const Args& args) {
   std::vector<std::function<KernelRun()>> jobs;
   jobs.reserve(procs.size());
   for (unsigned p : procs) {
-    jobs.emplace_back([&args, &session, name, p] {
-      return run_kernel_once(session, args, name, p);
-    });
+    jobs.emplace_back(
+        [&args, &session, spec = job_spec(args, std::to_string(p))] {
+          return run_kernel(session, args, spec);
+        });
   }
   const auto wall0 = std::chrono::steady_clock::now();
   std::vector<KernelRun> seconds = runner.run(jobs);
@@ -573,8 +482,8 @@ int cmd_sweep(const Args& args) {
       session.collect(std::move(seconds[i].obs),
                       name + " p=" + std::to_string(procs[i]));
     }
-    measured.emplace_back(procs[i], seconds[i].seconds);
-    events += seconds[i].events;
+    measured.emplace_back(procs[i], seconds[i].job.seconds);
+    events += seconds[i].job.events;
     quanta += seconds[i].quanta;
   }
   std::fprintf(stderr,
@@ -604,32 +513,6 @@ int cmd_sweep(const Args& args) {
 }
 
 // ----------------------------------------------------- serving commands
-
-/// Translate the kernel-command flag vocabulary into a serve::JobSpec, so
-/// `ksrsim submit --name is --procs 16 --scale 64` describes exactly the
-/// job `ksrsim kernel` would run locally. Size fields left at 0 resolve to
-/// the kernel defaults inside serve::execute.
-serve::JobSpec spec_from_args(const Args& args) {
-  serve::JobSpec s;
-  s.machine = args.get("machine", "ksr1");
-  s.procs = args.get_u("procs", 8);
-  s.scale = args.get_u("scale", 1);
-  s.snarf = !args.has("no-snarf");
-  s.fuzz_seed = args.get_u64("fuzz-seed", 0);
-  s.cells_per_leaf = args.get_u("cells-per-leaf", 0);
-  s.cells_per_domain = args.get_u("cells-per-domain", 0);
-  s.workload = args.get("name", "cg");
-  s.seed = args.get_u64("seed", 0);
-  s.log2_keys = args.get_u("log2-keys", 0);
-  s.log2_buckets = args.get_u("log2-buckets", 0);
-  s.pad_buckets = args.has("pad-buckets");
-  s.n = args.get_u("n", 0);
-  s.nnz_per_row = args.get_u("nnz-per-row", 0);
-  s.iters = args.get_u("iters", 0);
-  s.log2_pairs = args.get_u("log2-pairs", 0);
-  s.restore_from = args.get("restore-from");
-  return s;
-}
 
 int cmd_serve(const Args& args) {
   serve::SocketServer::Options opt;
@@ -671,7 +554,7 @@ int cmd_submit(const Args& args) {
   if (op == "submit") {
     serve::Json j = serve::Json::object();
     j.set("op", serve::Json::str("submit"));
-    j.set("job", spec_from_args(args).to_json());
+    j.set("job", job_spec(args, args.get("procs", "8")).to_json());
     req = j.dump();
   } else if (op == "ping" || op == "stats" || op == "shutdown") {
     req = "{\"op\":\"" + op + "\"}";
@@ -751,7 +634,8 @@ int cmd_help() {
       "           JSON protocol; results cached content-addressed in DIR)\n"
       "  submit   send one request to a running daemon and print the\n"
       "           response line [--socket PATH --op submit|ping|stats|\n"
-      "           shutdown, plus the kernel flags for --op submit]\n"
+      "           shutdown, plus the kernel flags for --op submit: the\n"
+      "           daemon runs the same job `kernel` runs locally]\n"
       "  campaign expand a declarative sweep manifest, run it through the\n"
       "           result cache, and write <out>.jsonl/<out>.csv\n"
       "           [MANIFEST.json --store DIR --out PREFIX --jobs N]\n"
@@ -773,7 +657,7 @@ int cmd_help() {
       "                 docs/CHECKING.md)\n"
       "\n"
       "observability (docs/OBSERVABILITY.md; never perturbs simulated time):\n"
-      "  --trace [cat,...]    capture a structured event trace (categories:\n"
+      "  --trace[=cat,...]    capture a structured event trace (categories:\n"
       "                       ring,coherence,sync,stall; default all)\n"
       "  --trace-out FILE     trace output (.json = Chrome/Perfetto trace\n"
       "                       events, .csv = CSV; default\n"
@@ -793,7 +677,8 @@ int cmd_help() {
       "kernel size flags: --log2-pairs (ep), --n/--nnz-per-row/--iters (cg),\n"
       "  --log2-keys/--log2-buckets (is, --pad-buckets pads per-cpu bucket\n"
       "  portions to sub-page boundaries), --n/--iters/--no-padding/\n"
-      "  --no-prefetch (sp), --n/--iters (bt)\n"
+      "  --no-prefetch (sp), --n/--iters (bt); --seed N sets the input seed\n"
+      "  of ep/cg/is in kernel, sweep and submit (0 = the kernel default)\n"
       "\n"
       "checkpointing (kernel --name is only; docs/CHECKPOINT.md):\n"
       "  --checkpoint-at FILE  run the split-phase IS kernel and write a\n"
@@ -810,8 +695,8 @@ int cmd_help() {
 int main(int argc, char** argv) {
   if (argc < 2) return cmd_help();
   const std::string cmd = argv[1];
-  const Args args(argc, argv);
   try {
+    const Args args(argc, argv);
     int rc = 0;
     if (cmd == "probe") rc = cmd_probe(args);
     else if (cmd == "barrier") rc = cmd_barrier(args);
