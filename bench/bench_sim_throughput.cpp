@@ -44,6 +44,29 @@ void BM_FiberSwitch(benchmark::State& state) {
 }
 BENCHMARK(BM_FiberSwitch);
 
+void BM_FiberRoundRobin(benchmark::State& state) {
+  // The spin-poll shape: N fibers each park two cycles at a time from
+  // staggered starts, so every resume belongs to a different fiber than the
+  // one parking (unlike BM_FiberSwitch, where the lone fiber's own resume is
+  // always next and no context switch happens).
+  const auto fibers = static_cast<int>(state.range(0));
+  constexpr int kWaits = 4000;
+  for (auto _ : state) {
+    sim::Engine eng;
+    for (int f = 0; f < fibers; ++f) {
+      eng.spawn(
+          [&eng] {
+            for (int i = 0; i < kWaits; ++i) eng.wait_until(eng.now() + 2);
+          },
+          static_cast<sim::Time>(f));
+    }
+    eng.run();
+    benchmark::DoNotOptimize(eng.now());
+  }
+  state.SetItemsProcessed(state.iterations() * fibers * kWaits);
+}
+BENCHMARK(BM_FiberRoundRobin)->Arg(2)->Arg(32)->Arg(128);
+
 void BM_ParallelEngineDispatch(benchmark::State& state) {
   // Conservative-quantum multi-domain dispatch (docs/PARALLEL.md): four
   // domains each burn through a local event chain, with every 64th event

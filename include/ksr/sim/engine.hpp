@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -24,10 +25,20 @@
 // at a time (the whole simulator is single-threaded), so simulated programs
 // need no host-level synchronization.
 //
-// Host fast path: events carry an InlineFn (no allocation for engine-sized
-// captures) in a 4-ary heap (see event_heap.hpp), and fiber switches use a
-// hand-rolled register swap instead of swapcontext when KSR_FAST_FIBERS is
-// on (see fiber_context.hpp). Neither changes simulated timing by a cycle.
+// Host fast path: callback events carry an InlineFn (no allocation for
+// engine-sized captures) in a two-lane queue (see event_heap.hpp), and fiber
+// switches use a hand-rolled register swap instead of swapcontext when
+// KSR_FAST_FIBERS is on (see fiber_context.hpp). A fiber resume — what
+// spawn(), wait_until() and wake() schedule, and nearly every event a
+// spinning cell dispatches — is a tagged event naming the fiber, with no
+// callback behind it. When a fiber parks it looks at the earliest main-lane
+// event: if that is a fiber resume strictly before the run_until() horizon
+// with no observer due at or before it, the parking fiber dispatches it
+// itself (pops it, sets now(), counts it) and switches straight into that
+// fiber — or simply returns when the resume is its own. Anything else goes
+// back through the scheduler loop. Events are consumed in exactly the
+// (time, seq) order and count the loop would use, so none of this changes
+// simulated timing by a cycle, events_dispatched() or the clock state.
 //
 // A fiber interacts with simulated time through three verbs:
 //   * wait_until(t) — park until simulated time t (local compute, fixed-cost
@@ -73,7 +84,8 @@ class Engine {
   /// observe_at(now() + d, fn).
   void observe_in(Duration d, InlineFn fn) { observe_at(now_ + d, std::move(fn)); }
 
-  /// Create a fiber that starts running at time `start`.
+  /// Create a fiber that starts running at time `start`. With fast fibers
+  /// up to 4 KiB of `stack_bytes` go to staggering the stack tops.
   FiberId spawn(std::function<void()> body, Time start = 0,
                 std::size_t stack_bytes = kDefaultStackBytes);
 
@@ -115,10 +127,13 @@ class Engine {
   [[nodiscard]] bool in_fiber() const noexcept { return current_ != nullptr; }
 
   /// Id of the currently running fiber. Only valid when in_fiber().
-  [[nodiscard]] FiberId current_fiber() const noexcept;
+  [[nodiscard]] FiberId current_fiber() const noexcept { return current_->id; }
 
   /// Earliest pending event time, or the sentinel Time maximum when idle.
-  [[nodiscard]] Time next_event_time() const noexcept;
+  [[nodiscard]] Time next_event_time() const noexcept {
+    return events_.empty() ? std::numeric_limits<Time>::max()
+                           : events_.top().t;
+  }
 
   /// Number of spawned fibers whose bodies have not yet returned.
   [[nodiscard]] std::size_t live_fibers() const noexcept { return live_fibers_; }
@@ -211,14 +226,16 @@ class Engine {
     FiberId id = 0;
   };
 
-  // Heap entries are 24 bytes: the callback lives in a slab pool, addressed
-  // by slot, so sifting moves small trivially-copyable records and never
-  // touches (or moves) the callbacks themselves. Slots are recycled through
-  // a freelist — after warm-up the schedule path allocates nothing.
+  // Heap entries are 24 bytes. `what` is either a fiber resume (kResume |
+  // fiber id) or a callback's slot in a slab pool, so sifting moves small
+  // trivially-copyable records and never touches (or moves) the callbacks
+  // themselves. Slots are recycled through a freelist — after warm-up the
+  // schedule path allocates nothing.
+  static constexpr std::uint32_t kResume = 1u << 31;
   struct Event {
     Time t;
     std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint32_t what;
   };
   struct EventEarlier {
     bool operator()(const Event& a, const Event& b) const noexcept {
@@ -231,10 +248,21 @@ class Engine {
 #else
   static void trampoline(unsigned hi, unsigned lo);
 #endif
+  // The per-backend switch primitive: save the running context of `from`
+  // and continue `to`, starting it on first entry (nullptr on either side
+  // is the scheduler loop).
+  void switch_context(Fiber* from, Fiber* to);
   void resume(Fiber& f);
-  void switch_to_scheduler();
+  void park();
+  // Whether the earliest main-lane event, at time t, is the scheduler
+  // loop's very next step: inside the horizon, with no observer due first.
+  [[nodiscard]] bool dispatchable(Time t) const noexcept {
+    return t < horizon_ && (observers_.empty() || t < observers_.top().t);
+  }
+  Event make_event(Time t, std::uint32_t what);  // throws if t < now()
 
   Time now_ = 0;
+  Time horizon_ = 0;  // of the run_until() slice being dispatched
   std::uint64_t seq_ = 0;
   std::uint64_t fuzz_seed_ = 0;  // see set_tie_break_seed()
   std::uint64_t dispatched_ = 0;

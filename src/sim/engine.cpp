@@ -26,16 +26,21 @@ std::uint32_t Engine::claim_slot(InlineFn fn) {
   return slot;
 }
 
-void Engine::at(Time t, InlineFn fn) {
+Engine::Event Engine::make_event(Time t, std::uint32_t what) {
   if (t < now_) {
-    throw std::logic_error("Engine::at: scheduling into the past");
+    throw std::logic_error("Engine: scheduling into the past");
   }
   // Schedule fuzzing: a nonzero seed replaces the insertion sequence with a
   // seeded bijective hash of it, permuting same-time tie order while the
   // injectivity of mix64 keeps (t, seq) a strict total order.
   const std::uint64_t c = seq_++;
-  const std::uint64_t seq = fuzz_seed_ == 0 ? c : mix64(fuzz_seed_ + c);
-  events_.push(Event{t, seq, claim_slot(std::move(fn))});
+  return Event{t, fuzz_seed_ == 0 ? c : mix64(fuzz_seed_ + c), what};
+}
+
+void Engine::at(Time t, InlineFn fn) {
+  Event ev = make_event(t, 0);
+  ev.what = claim_slot(std::move(fn));
+  events_.push(ev);
 }
 
 void Engine::observe_at(Time t, InlineFn fn) {
@@ -53,10 +58,10 @@ void Engine::drain_observers(Time horizon) {
   while (!observers_.empty() && observers_.top().t <= horizon) {
     const Event oe = observers_.pop_top();
     if (oe.t > now_) now_ = oe.t;
-    InlineFn& fn = pool_slot(oe.slot);
+    InlineFn& fn = pool_slot(oe.what);
     fn();
     fn.reset();
-    free_slots_.push_back(oe.slot);
+    free_slots_.push_back(oe.what);
   }
 }
 
@@ -67,11 +72,11 @@ FiberId Engine::spawn(std::function<void()> body, Time start, std::size_t stack_
   fiber->stack = std::make_unique<std::byte[]>(stack_bytes);
   fiber->engine = this;
   fiber->id = static_cast<FiberId>(fibers_.size());
-  Fiber* raw = fiber.get();
+  const FiberId id = fiber->id;
   fibers_.push_back(std::move(fiber));
   ++live_fibers_;
-  at(start, [this, raw] { resume(*raw); });
-  return raw->id;
+  events_.push(make_event(start, kResume | id));
+  return id;
 }
 
 #if KSR_HAVE_FAST_FIBERS
@@ -92,25 +97,19 @@ void Engine::fiber_main(void* arg) {
   std::abort();  // unreachable
 }
 
-void Engine::resume(Fiber& f) {
-  if (f.done) return;
-  if (!f.started) {
-    f.sp = detail::make_fiber_context(f.stack.get(), f.stack_bytes,
-                                      &Engine::fiber_main, &f);
-    f.started = true;
+void Engine::switch_context(Fiber* from, Fiber* to) {
+  if (to != nullptr && !to->started) {
+    // Stagger the stack tops by a multiple of 64 bytes within one page: the
+    // stacks are page-aligned allocations, so unstaggered, every parked
+    // fiber's hot frames would compete for the same L1 cache sets.
+    const std::size_t color = (to->id * 17u % 64u) * 64u;
+    to->sp = detail::make_fiber_context(to->stack.get(),
+                                        to->stack_bytes - color,
+                                        &Engine::fiber_main, to);
+    to->started = true;
   }
-  Fiber* prev = current_;
-  current_ = &f;
-  ksr_ctx_swap(&sched_sp_, f.sp);
-  current_ = prev;
-  if (f.done && f.stack) {
-    f.stack.reset();  // release the stack eagerly; the Fiber record remains
-    --live_fibers_;
-  }
-}
-
-void Engine::switch_to_scheduler() {
-  ksr_ctx_swap(&current_->sp, sched_sp_);
+  ksr_ctx_swap(from != nullptr ? &from->sp : &sched_sp_,
+               to != nullptr ? to->sp : sched_sp_);
 }
 
 #else  // ucontext fallback
@@ -130,62 +129,87 @@ void Engine::trampoline(unsigned hi, unsigned lo) {
   // Returning transfers control to uc_link (the scheduler context).
 }
 
-void Engine::resume(Fiber& f) {
-  if (f.done) return;
-  if (!f.started) {
-    getcontext(&f.ctx);
-    f.ctx.uc_stack.ss_sp = f.stack.get();
-    f.ctx.uc_stack.ss_size = f.stack_bytes;
-    f.ctx.uc_link = &sched_ctx_;
-    const auto bits = reinterpret_cast<std::uintptr_t>(&f);  // NOLINT
-    makecontext(&f.ctx, reinterpret_cast<void (*)()>(&Engine::trampoline), 2,
-                static_cast<unsigned>(bits >> 32),
+void Engine::switch_context(Fiber* from, Fiber* to) {
+  if (to != nullptr && !to->started) {
+    getcontext(&to->ctx);
+    to->ctx.uc_stack.ss_sp = to->stack.get();
+    to->ctx.uc_stack.ss_size = to->stack_bytes;
+    to->ctx.uc_link = &sched_ctx_;
+    const auto bits = reinterpret_cast<std::uintptr_t>(to);  // NOLINT
+    makecontext(&to->ctx, reinterpret_cast<void (*)()>(&Engine::trampoline),
+                2, static_cast<unsigned>(bits >> 32),
                 static_cast<unsigned>(bits & 0xffffffffu));
-    f.started = true;
+    to->started = true;
   }
-  Fiber* prev = current_;
-  current_ = &f;
-  swapcontext(&sched_ctx_, &f.ctx);
-  current_ = prev;
-  if (f.done && f.stack) {
-    f.stack.reset();  // release the stack eagerly; the Fiber record remains
-    --live_fibers_;
-  }
-}
-
-void Engine::switch_to_scheduler() {
-  Fiber* f = current_;
-  swapcontext(&f->ctx, &sched_ctx_);
+  swapcontext(from != nullptr ? &from->ctx : &sched_ctx_,
+              to != nullptr ? &to->ctx : &sched_ctx_);
 }
 
 #endif  // KSR_HAVE_FAST_FIBERS
 
+void Engine::resume(Fiber& f) {
+  if (f.done) return;
+  current_ = &f;
+  switch_context(nullptr, &f);
+  // The fiber that switched back is `f` or one it (transitively) handed off
+  // to; release its stack eagerly if its body has returned.
+  Fiber* back = current_;
+  current_ = nullptr;
+  if (back->done) {
+    back->stack.reset();  // the Fiber record remains
+    --live_fibers_;
+  }
+}
+
+void Engine::park() {
+  Fiber* self = current_;
+  Fiber* next = nullptr;  // nullptr: back to the scheduler loop
+  // Dispatch the earliest event here when the scheduler loop would dispatch
+  // it next anyway and it only resumes a fiber.
+  while (!events_.empty()) {
+    const Event ev = events_.top();
+    if ((ev.what & kResume) == 0 || !dispatchable(ev.t)) break;
+    events_.pop_top();
+    now_ = ev.t;
+    ++dispatched_;
+    Fiber* f = fibers_[ev.what & ~kResume].get();
+    if (f == self) return;
+    if (!f->done) {
+      next = f;
+      current_ = f;
+      break;
+    }
+    // A stale resume of a finished fiber is a no-op, as in resume().
+  }
+  switch_context(self, next);
+}
+
 void Engine::wait_until(Time t) {
   if (!in_fiber()) throw std::logic_error("wait_until outside fiber");
-  if (t < now_) t = now_;
-  Fiber* raw = current_;
-  at(t, [this, raw] { resume(*raw); });
-  switch_to_scheduler();
+  const Event own = make_event(t < now_ ? now_ : t, kResume | current_->id);
+  // When its own resume would be dispatched next, the fiber just continues:
+  // no queue round trip and no switch.
+  if (dispatchable(own.t) &&
+      (events_.empty() || EventEarlier{}(own, events_.top()))) {
+    now_ = own.t;
+    ++dispatched_;
+    return;
+  }
+  events_.push(own);
+  park();
 }
 
 void Engine::block() {
   if (!in_fiber()) throw std::logic_error("block outside fiber");
-  switch_to_scheduler();
+  park();
 }
 
 void Engine::wake(FiberId id, Time t) {
-  Fiber* raw = fibers_.at(id).get();
-  if (raw->done) {
+  if (fibers_.at(id)->done) {
     throw std::logic_error("Engine::wake: fiber " + std::to_string(id) +
                            " has already finished");
   }
-  at(t, [this, raw] { resume(*raw); });
-}
-
-FiberId Engine::current_fiber() const noexcept { return current_->id; }
-
-Time Engine::next_event_time() const noexcept {
-  return events_.empty() ? std::numeric_limits<Time>::max() : events_.top().t;
+  events_.push(make_event(t, kResume | id));
 }
 
 void Engine::run() {
@@ -194,6 +218,7 @@ void Engine::run() {
 }
 
 void Engine::run_until(Time horizon) {
+  horizon_ = horizon;
   while (!events_.empty() && events_.top().t < horizon) {
     const Event ev = events_.pop_top();
     // Observers due at or before this event run first (the sample "at t"
@@ -201,12 +226,17 @@ void Engine::run_until(Time horizon) {
     drain_observers(ev.t);
     now_ = ev.t;
     ++dispatched_;
-    // Invoke in place: chunk addresses are stable, and the slot is recycled
-    // only after the call, so the callback may freely schedule new events.
-    InlineFn& fn = pool_slot(ev.slot);
-    fn();
-    fn.reset();
-    free_slots_.push_back(ev.slot);
+    if (ev.what & kResume) {
+      resume(*fibers_[ev.what & ~kResume]);
+    } else {
+      // Invoke in place: chunk addresses are stable, and the slot is
+      // recycled only after the call, so the callback may freely schedule
+      // new events.
+      InlineFn& fn = pool_slot(ev.what);
+      fn();
+      fn.reset();
+      free_slots_.push_back(ev.what);
+    }
     if (pending_exception_) {
       auto ex = pending_exception_;
       pending_exception_ = nullptr;
@@ -221,8 +251,8 @@ void Engine::finish_run() {
   // run() on the same engine starts clean.
   while (!observers_.empty()) {
     const Event oe = observers_.pop_top();
-    pool_slot(oe.slot).reset();
-    free_slots_.push_back(oe.slot);
+    pool_slot(oe.what).reset();
+    free_slots_.push_back(oe.what);
   }
   if (live_fibers_ != 0) {
     throw std::runtime_error(

@@ -3,8 +3,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "ksr/sim/callback.hpp"
@@ -163,6 +167,249 @@ TEST(Engine, NextEventTimeSentinelWhenIdle) {
   eng.at(42, [] {});
   EXPECT_EQ(eng.next_event_time(), 42u);
   eng.run();
+}
+
+// ---- Fiber resumes: the direct fiber-to-fiber hand-off --------------------
+//
+// A parking fiber may consume the next main-lane event itself when it is a
+// fiber resume (see engine.hpp, "Host fast path"). These cases pin the
+// boundaries of that shortcut: every one must dispatch exactly what the
+// scheduler loop would, in the same (time, seq) order and count.
+
+struct Step {
+  Time t;
+  int who;
+  int step;
+  bool operator==(const Step&) const = default;
+};
+
+TEST(EngineHandOff, ObserverBetweenResumesRunsFirst) {
+  Engine eng;
+  std::vector<Step> trace;
+  eng.spawn([&] {
+    eng.wait_until(10);
+    trace.push_back({eng.now(), 0, 1});
+    // The next main event is fiber 1's resume at 20, but observers at 15
+    // and 20 are due first: the hand-off must yield to the scheduler.
+    eng.wait_until(30);
+    trace.push_back({eng.now(), 0, 2});
+  });
+  eng.spawn([&] {
+    eng.wait_until(20);
+    trace.push_back({eng.now(), 1, 1});
+  });
+  eng.observe_at(15, [&] { trace.push_back({eng.now(), 9, 15}); });
+  eng.observe_at(20, [&] { trace.push_back({eng.now(), 9, 20}); });
+  eng.run();
+  const std::vector<Step> want{
+      {10, 0, 1}, {15, 9, 15}, {20, 9, 20}, {20, 1, 1}, {30, 0, 2}};
+  EXPECT_EQ(trace, want);
+  EXPECT_EQ(eng.events_dispatched(), 5u);  // 2 starts + 3 resumes
+}
+
+// Fibers that spin in short random waits, so almost every park can hand off.
+void spin_fibers(Engine& eng, std::vector<Step>& trace, int fibers) {
+  for (int f = 0; f < fibers; ++f) {
+    eng.spawn(
+        [&eng, &trace, f] {
+          Rng rng(static_cast<std::uint64_t>(f) + 1);
+          for (int s = 0; s < 40; ++s) {
+            eng.wait_until(eng.now() + rng.below(5));
+            trace.push_back({eng.now(), f, s});
+          }
+        },
+        static_cast<Time>(f));
+  }
+}
+
+TEST(EngineHandOff, RunUntilStopsChainExactlyAtHorizon) {
+  Engine whole;
+  std::vector<Step> want;
+  spin_fibers(whole, want, 6);
+  whole.run();
+
+  Engine sliced;
+  std::vector<Step> got;
+  spin_fibers(sliced, got, 6);
+  for (Time h = 3; sliced.next_event_time() != std::numeric_limits<Time>::max();
+       h += 7) {
+    sliced.run_until(h);
+    for (const Step& s : got) ASSERT_LT(s.t, h);
+    ASSERT_GE(sliced.next_event_time(), h);
+    ASSERT_LT(sliced.now(), h);
+  }
+  sliced.finish_run();
+  EXPECT_EQ(want.size(), 6u * 40u);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(sliced.events_dispatched(), whole.events_dispatched());
+  EXPECT_EQ(sliced.now(), whole.now());
+}
+
+TEST(EngineHandOff, ExceptionFromHandedOffFiberPropagates) {
+  Engine eng;
+  Time thrown_at = 0;
+  eng.spawn([&] {
+    eng.wait_until(10);
+    eng.wait_until(30);  // the next event is fiber 1's resume at 20
+    ADD_FAILURE() << "fiber 0 resumed after fiber 1 threw";
+  });
+  eng.spawn([&] {
+    eng.wait_until(20);
+    thrown_at = eng.now();
+    throw std::runtime_error("boom");
+  });
+  try {
+    eng.run();
+    ADD_FAILURE() << "run() returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
+  }
+  EXPECT_EQ(thrown_at, 20u);
+  EXPECT_EQ(eng.live_fibers(), 1u);  // fiber 0 is still parked
+}
+
+TEST(EngineHandOff, FiberFinishingAfterHandOffReleasesStack) {
+  Engine eng;
+  std::size_t live_seen = 0;
+  eng.spawn([&] {
+    eng.wait_until(10);
+    eng.wait_until(30);  // hands off to fiber 1, which then finishes
+    live_seen = eng.live_fibers();
+  });
+  eng.spawn([&] { eng.wait_until(20); });
+  EXPECT_NO_THROW(eng.run());
+  EXPECT_EQ(live_seen, 1u);
+  EXPECT_EQ(eng.live_fibers(), 0u);
+  EXPECT_TRUE(eng.quiescent());
+  EXPECT_EQ(eng.events_dispatched(), 5u);
+}
+
+TEST(EngineHandOff, OwnResumeEarliestCountsOneEvent) {
+  Engine eng;
+  std::vector<int> order;
+  eng.at(5, [&] { order.push_back(1); });  // same time, earlier seq: first
+  eng.at(100, [&] { order.push_back(3); });
+  eng.spawn([&] {
+    eng.wait_until(5);
+    order.push_back(2);
+    const std::uint64_t before = eng.events_dispatched();
+    eng.wait_until(40);  // own resume is now the earliest event
+    EXPECT_EQ(eng.now(), 40u);
+    EXPECT_EQ(eng.events_dispatched(), before + 1);
+    eng.wait_until(eng.now());  // a zero-length wait is one event too
+    EXPECT_EQ(eng.now(), 40u);
+    EXPECT_EQ(eng.events_dispatched(), before + 2);
+  });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(eng.events_dispatched(), 6u);
+}
+
+TEST(EngineHandOff, StaleResumeOfFinishedFiberIsHarmless) {
+  Engine eng;
+  std::vector<Step> trace;
+  const FiberId a = eng.spawn([&] {
+    eng.block();
+    trace.push_back({eng.now(), 0, 1});
+  });
+  eng.spawn([&] {
+    eng.wake(a, 10);
+    eng.wake(a, 12);     // fiber 0 finishes at 10: this resume goes stale
+    eng.wait_until(11);  // hands off to fiber 0
+    trace.push_back({eng.now(), 1, 1});
+    eng.wait_until(20);  // the stale resume at 12 is the next event
+    trace.push_back({eng.now(), 1, 2});
+  });
+  EXPECT_NO_THROW(eng.run());
+  EXPECT_EQ(trace, (std::vector<Step>{{10, 0, 1}, {11, 1, 1}, {20, 1, 2}}));
+  EXPECT_EQ(eng.events_dispatched(), 6u);  // the stale resume still counts
+  EXPECT_EQ(eng.live_fibers(), 0u);
+}
+
+TEST(EngineHandOff, RestoredPlaceholdersCannotBeResumed) {
+  Engine eng;
+  eng.restore_fibers_spawned(3);
+  EXPECT_THROW(eng.wake(1, 0), std::logic_error);
+  EXPECT_EQ(eng.next_event_time(), std::numeric_limits<Time>::max());
+  Time seen = 0;
+  const FiberId f = eng.spawn([&] {
+    eng.wait_until(7);
+    seen = eng.now();
+  });
+  EXPECT_EQ(f, 3u);
+  eng.run();
+  EXPECT_EQ(seen, 7u);
+  EXPECT_EQ(eng.live_fibers(), 0u);
+}
+
+// Randomized fiber workload: waits, block/wake through plain callbacks,
+// self-rescheduling observers and chains of callbacks, under a tie-break
+// seed. Returns an FNV-1a digest of the (time, who, step) trace and the
+// dispatched-event count.
+std::pair<std::uint64_t, std::uint64_t> random_workload(std::uint64_t tie_seed) {
+  Engine eng;
+  eng.set_tie_break_seed(tie_seed);
+  Rng rng(2024);
+  std::uint64_t digest = 14695981039346656037ULL;
+  auto record = [&](int who, int step) {
+    for (const std::uint64_t v :
+         {eng.now(), static_cast<std::uint64_t>(who),
+          static_cast<std::uint64_t>(step)}) {
+      digest = (digest ^ v) * 1099511628211ULL;
+    }
+  };
+  int callbacks = 0;
+  for (int f = 0; f < 12; ++f) {
+    eng.spawn(
+        [&, f] {
+          for (int s = 0; s < 60; ++s) {
+            record(f, s);
+            const std::uint64_t r = rng.below(10);
+            if (r < 6) {
+              eng.wait_until(eng.now() + rng.below(4));
+            } else if (r < 8) {
+              const FiberId me = eng.current_fiber();
+              eng.at(eng.now() + rng.below(4), [&eng, &rng, me] {
+                eng.wake(me, eng.now() + rng.below(3));
+              });
+              eng.block();
+            } else {
+              eng.at(eng.now() + rng.below(3), [&] { record(100, callbacks++); });
+              eng.wait_until(eng.now() + rng.below(3));
+            }
+          }
+        },
+        rng.below(5));
+  }
+  std::function<void()> sample = [&] {
+    record(200, 0);
+    eng.observe_in(7, [&] { sample(); });
+  };
+  eng.observe_at(3, [&] { sample(); });
+  eng.run();
+  return {digest, eng.events_dispatched()};
+}
+
+TEST(EngineHandOff, RandomWorkloadMatchesPinnedSchedule) {
+  // Pinned from the scheduler that resumed every fiber through an InlineFn
+  // callback: the hand-off must reproduce its schedule exactly, under
+  // insertion-order ties and under three tie-break seeds.
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t digest;
+    std::uint64_t dispatched;
+  };
+  const Pin pins[] = {
+      {0, 0x20C3A948B15DFCE4ULL, 1038},
+      {1, 0x94C0342059BDD1F0ULL, 1026},
+      {0x9E3779B97F4A7C15ULL, 0x0BD383DE47525448ULL, 1019},
+      {12345, 0x66272672E10F25FCULL, 1026},
+  };
+  for (const Pin& p : pins) {
+    const auto [digest, dispatched] = random_workload(p.seed);
+    EXPECT_EQ(digest, p.digest) << "tie-break seed " << p.seed;
+    EXPECT_EQ(dispatched, p.dispatched) << "tie-break seed " << p.seed;
+  }
 }
 
 // ---- InlineFn: the three storage strategies -------------------------------
